@@ -75,8 +75,9 @@ def test_table3_summary(benchmark, deepar, tft, forecast, test_series, train_ser
     )
     deepar_ms = timed(lambda: deepar.predict(context, start_index=len(train_series)))
     tft_ms = timed(lambda: tft.predict(context, start_index=len(train_series)))
-    robust_ms = timed(lambda: robust.plan(forecast))
-    adaptive_ms = timed(lambda: adaptive.plan(forecast))
+    # Sub-millisecond solves: more repeats so the min is the solve, not noise.
+    robust_ms = timed(lambda: robust.plan(forecast), repeats=50)
+    adaptive_ms = timed(lambda: adaptive.plan(forecast), repeats=50)
 
     print_header("Table III — computation overhead breakdown")
     print(f"{'Workload Forecasting':<32} {'Auto-Scaling Optimization':<28}")
@@ -91,4 +92,7 @@ def test_table3_summary(benchmark, deepar, tft, forecast, test_series, train_ser
     assert deepar_ms > tft_ms
     assert robust_ms < tft_ms
     assert adaptive_ms < 10 * max(robust_ms, 0.01) + 5.0
+    # Algorithm 1 costs one Eq. 8 uncertainty and one extra row over the
+    # fixed-quantile solve, not a per-step loop.
+    assert adaptive_ms <= 3 * robust_ms, (adaptive_ms, robust_ms)
     benchmark(lambda: robust.plan(forecast))

@@ -65,8 +65,9 @@ class RobustAutoScalingManager:
             Currently running nodes; only used when ramp limits are set,
             to anchor the first step's transition.
         """
-        levels = self.policy.select_levels(forecast)
-        bound = self.policy.bound_workload(forecast)
+        uncertainty = quantile_uncertainty(forecast)
+        levels = self.policy.select_levels(forecast, uncertainty)
+        bound = self.policy.bound_workload(forecast, levels)
         if np.any(bound < 0):
             # Quantile forecasts can dip below zero on normalised models;
             # workload is physically non-negative.
@@ -90,7 +91,7 @@ class RobustAutoScalingManager:
         # (and the model-health monitor to score) this plan.  Arrays are
         # stored by reference — no copies on the planning path.
         plan.metadata["bound_workload"] = bound
-        plan.metadata["uncertainty"] = quantile_uncertainty(forecast)
+        plan.metadata["uncertainty"] = uncertainty
         plan.metadata["forecast_levels"] = forecast.levels
         plan.metadata["forecast_values"] = forecast.values
         plan.metadata["ramp_clipped_steps"] = ramp_clipped_steps

@@ -34,13 +34,28 @@ class QuantilePolicy(ABC):
     """Maps a quantile forecast to a per-step quantile level tau_t."""
 
     @abstractmethod
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        """Return the quantile level to use at each step, shape (H,)."""
+    def select_levels(
+        self, forecast: QuantileForecast, uncertainty: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Return the quantile level to use at each step, shape (H,).
 
-    def bound_workload(self, forecast: QuantileForecast) -> np.ndarray:
-        """The per-step workload upper bound w-hat_t^{tau_t} (Eq. 7 LHS)."""
-        levels = self.select_levels(forecast)
-        return np.array([forecast.at(tau)[t] for t, tau in enumerate(levels)])
+        ``uncertainty`` is Eq. 8's U for ``forecast``, for callers that
+        already hold it; uncertainty-driven policies compute it otherwise.
+        """
+
+    def bound_workload(
+        self, forecast: QuantileForecast, levels: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The per-step workload upper bound w-hat_t^{tau_t} (Eq. 7 LHS).
+
+        ``levels`` defaults to :meth:`select_levels`.  Each distinct tau
+        is read once, then step t takes its element from its own tau's row.
+        """
+        if levels is None:
+            levels = self.select_levels(forecast)
+        taus, which = np.unique(levels, return_inverse=True)
+        rows = np.stack([forecast.at(tau) for tau in taus])
+        return rows[which, np.arange(forecast.horizon)]
 
     @property
     def name(self) -> str:
@@ -55,11 +70,10 @@ class FixedQuantilePolicy(QuantilePolicy):
             raise ValueError(f"tau must be in (0, 1), got {tau}")
         self.tau = tau
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
+    def select_levels(
+        self, forecast: QuantileForecast, uncertainty: np.ndarray | None = None
+    ) -> np.ndarray:
         return np.full(forecast.horizon, self.tau)
-
-    def bound_workload(self, forecast: QuantileForecast) -> np.ndarray:
-        return forecast.at(self.tau)
 
     @property
     def name(self) -> str:
@@ -90,14 +104,17 @@ class UncertaintyAwarePolicy(QuantilePolicy):
                 f"tau_optimistic ({tau_optimistic}) must not exceed "
                 f"tau_conservative ({tau_conservative})"
             )
-        if uncertainty_threshold < 0:
+        if not uncertainty_threshold >= 0:  # also rejects NaN
             raise ValueError("uncertainty threshold must be non-negative")
         self.tau_optimistic = tau_optimistic
         self.tau_conservative = tau_conservative
         self.uncertainty_threshold = uncertainty_threshold
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        uncertainty = quantile_uncertainty(forecast)
+    def select_levels(
+        self, forecast: QuantileForecast, uncertainty: np.ndarray | None = None
+    ) -> np.ndarray:
+        if uncertainty is None:
+            uncertainty = quantile_uncertainty(forecast)
         return np.where(
             uncertainty >= self.uncertainty_threshold,
             self.tau_conservative,
@@ -134,8 +151,11 @@ class StaircasePolicy(QuantilePolicy):
             raise ValueError("first rung cutoff must be 0 (the base level)")
         self.rungs = list(rungs)
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        uncertainty = quantile_uncertainty(forecast)
+    def select_levels(
+        self, forecast: QuantileForecast, uncertainty: np.ndarray | None = None
+    ) -> np.ndarray:
+        if uncertainty is None:
+            uncertainty = quantile_uncertainty(forecast)
         cutoffs = np.array([cutoff for cutoff, _ in self.rungs])
         taus = np.array([tau for _, tau in self.rungs])
         positions = np.searchsorted(cutoffs, uncertainty, side="right") - 1

@@ -9,6 +9,7 @@ Probabilistic Workload Forecaster and the Robust Auto-Scaling Manager.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -72,10 +73,11 @@ class QuantileForecast:
         parametric models expose arbitrary levels natively and build
         a dense grid before wrapping results in this container.
         """
-        exact = np.flatnonzero(np.isclose(self.levels, tau))
-        if exact.size:
+        # np.isclose(levels, tau)'s own test, without its per-call set-up
+        exact = np.flatnonzero(np.abs(self.levels - tau) <= 1e-8 + 1e-5 * abs(tau))
+        if exact.size and math.isfinite(tau):
             return self.values[exact[0]]
-        if tau < self.levels[0] or tau > self.levels[-1]:
+        if not self.levels[0] <= tau <= self.levels[-1]:  # also catches NaN
             raise ValueError(
                 f"tau={tau} outside forecast grid [{self.levels[0]}, {self.levels[-1]}]"
             )

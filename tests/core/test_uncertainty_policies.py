@@ -143,6 +143,11 @@ class TestUncertaintyAwarePolicy:
         with pytest.raises(ValueError):
             UncertaintyAwarePolicy(0.6, 0.9, uncertainty_threshold=-1.0)
 
+    def test_rejects_nan_threshold(self):
+        # U >= nan is never true: a NaN rho would silently disable Algorithm 1.
+        with pytest.raises(ValueError, match="non-negative"):
+            UncertaintyAwarePolicy(0.6, 0.9, uncertainty_threshold=float("nan"))
+
 
 class TestStaircasePolicy:
     def test_three_rung_selection(self):

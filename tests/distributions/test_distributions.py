@@ -43,6 +43,64 @@ class TestGaussian:
         assert np.all(np.diff(out, axis=0) > 0)
 
 
+def assert_bits_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# inf + -inf at the infinite-mu edges warns in ppf and here alike.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestGaussianClosedFormQuantile:
+    """``quantile`` skips ``stats.norm.ppf``'s argument checks; the bits
+    must still be ppf's, edge cases included, on whatever scipy runs."""
+
+    LEVELS = [-0.5, 0.0, 1e-300, 0.01, 0.1, 0.5, 0.7, 0.9, 0.95, 0.99]
+    LEVELS += [1 - 1e-16, 1.0, 1.5]
+    # NaN mu, infinite mu, a broadcast sigma and ordinary values side by side.
+    MU = np.array([[-3.0, 0.0, 2.5, 1e6], [np.nan, -np.inf, np.inf, 7.25]])
+    SIGMAS = [np.array([0.5, 1.0, 3.0, 1e-3]), np.float64(2.0), np.full((2, 1), 4.0)]
+
+    @pytest.mark.parametrize("sigma_index", range(3))
+    @pytest.mark.parametrize("tau", LEVELS)
+    def test_quantile_bits_match_ppf(self, tau, sigma_index):
+        sigma = self.SIGMAS[sigma_index]
+        expected = stats.norm.ppf(tau, loc=self.MU, scale=sigma)
+        assert_bits_equal(Gaussian(self.MU, sigma).quantile(tau), expected)
+
+    @pytest.mark.parametrize("sigma_index", range(3))
+    def test_quantiles_bits_match_per_level_ppf(self, sigma_index):
+        sigma = self.SIGMAS[sigma_index]
+        expected = np.stack(
+            [stats.norm.ppf(tau, loc=self.MU, scale=sigma) for tau in self.LEVELS]
+        )
+        assert_bits_equal(Gaussian(self.MU, sigma).quantiles(self.LEVELS), expected)
+
+    def test_nan_level_is_nan(self):
+        # Only the NaN's sign bit may differ from ppf's here.
+        out = Gaussian(self.MU, self.SIGMAS[0]).quantile(float("nan"))
+        assert np.isnan(out).all()
+        assert np.isnan(stats.norm.ppf(float("nan"), loc=self.MU, scale=1.0)).all()
+
+    def test_scalar_parameters(self):
+        d = Gaussian(1.5, 0.25)
+        assert_bits_equal(d.quantile(0.9), stats.norm.ppf(0.9, loc=1.5, scale=0.25))
+        assert_bits_equal(
+            d.quantiles([0.1, 0.9]),
+            np.stack([stats.norm.ppf(t, loc=1.5, scale=0.25) for t in (0.1, 0.9)]),
+        )
+
+    def test_level_array_against_ppf(self):
+        rng = np.random.default_rng(0)
+        mu, sigma = rng.normal(size=64), rng.uniform(0.1, 5.0, size=64)
+        taus = rng.uniform(size=64)
+        assert_bits_equal(
+            Gaussian(mu, sigma).quantile(taus),
+            stats.norm.ppf(taus, loc=mu, scale=sigma),
+        )
+
+
 class TestStudentT:
     def test_quantile_matches_scipy(self):
         d = StudentT(np.array([1.0]), np.array([2.0]), 5.0)

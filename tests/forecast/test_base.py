@@ -27,6 +27,11 @@ class TestQuantileForecast:
         with pytest.raises(ValueError):
             make_forecast().at(0.95)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_at_non_finite_tau_raises(self, tau):
+        with pytest.raises(ValueError, match="outside forecast grid"):
+            make_forecast().at(tau)
+
     def test_median_property(self):
         np.testing.assert_array_equal(make_forecast().median, np.full(4, 10.0))
 
