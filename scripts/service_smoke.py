@@ -9,7 +9,8 @@ Two phases, both against real subprocesses:
    dashboard once against the live daemon, force a replan and a
    checkpoint over HTTP, and fail on any non-200 (or non-JSON body).
 2. **Crash/restore divergence** — run an uninterrupted session to
-   completion, repeat it with a mid-trace checkpoint + early stop (the
+   completion, repeat it with periodic checkpoints (each appending to
+   the one journal), a last mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
    uninterrupted run's tail.
@@ -35,6 +36,7 @@ SERVE = [sys.executable, "-m", "repro.cli", "serve",
          "--horizon", "36", "--replan-every", "12", "--monitor",
          "--slo", "qos_violation_rate < 0.2 over 48",
          "--seed", "3"]
+CHECKPOINT_EVERY = 25
 CHECKPOINT_AT = 150
 MAX_TICKS = 165
 
@@ -204,7 +206,8 @@ def phase_crash_restore(workdir: Path) -> None:
     ckpt = workdir / "ckpt"
 
     run_serve(["--decisions-out", str(workdir / "full.jsonl")], workdir)
-    run_serve(["--checkpoint-at", str(CHECKPOINT_AT),
+    run_serve(["--checkpoint-every", str(CHECKPOINT_EVERY),
+               "--checkpoint-at", str(CHECKPOINT_AT),
                "--max-ticks", str(MAX_TICKS),
                "--checkpoint-dir", str(ckpt),
                "--decisions-out", str(workdir / "crashed.jsonl")], workdir)
@@ -219,9 +222,11 @@ def phase_crash_restore(workdir: Path) -> None:
 
     full = read_decisions(workdir / "full.jsonl")
     restored = read_decisions(workdir / "restored.jsonl")
-    checkpoint_tick = json.loads(
-        (ckpt / "state.json").read_text()
-    )["runtime"]["tick"]
+    state = json.loads((ckpt / "state.json").read_text())
+    checkpoint_tick = state["runtime"]["tick"]
+    if state["journal"]["file"] != "journal-1.jsonl":
+        fail(f"periodic checkpoints did not append to one journal: "
+             f"{state['journal']}")
     tail = [d for d in full if d["tick"] >= checkpoint_tick]
 
     if not full:

@@ -27,9 +27,8 @@ alerts, coverage sag); this manager *acts* on it:
 The manager is driven by one :meth:`on_tick` call per served interval
 (the service layer does this) and is fully checkpointable: its
 :meth:`state_dict` — candidate and rollback models included, pickled
-and base64-embedded so ``state.json`` stays a single self-contained
-JSON document — restores the whole state machine bit-identically
-mid-shadow.
+and base64-embedded in the JSON document — restores the whole state
+machine bit-identically mid-shadow.
 
 Everything is observable: ``adaptation.refits`` / ``.promotions`` /
 ``.rollbacks`` / ``.rejections`` counters, an ``adaptation/refit``
@@ -586,13 +585,19 @@ class AdaptationManager:
         }
 
     # -- checkpoint/restore ------------------------------------------------
-    def state_dict(self) -> dict:
+    def journal_logs(self) -> dict:
+        """:meth:`state_dict`'s append-only logs, as ``key -> (records,
+        encode)``: a checkpoint journal encodes only new records."""
+        return {"events": (self.events, dict)}
+
+    def state_dict(self, *, logs: bool = True) -> dict:
         """The complete adaptation state as a JSON-safe dict.
 
         Includes the live forecaster (not just the candidate): after a
         promotion the planner may hold a model that the config-driven
         rebuild path cannot reproduce, so the checkpoint must carry the
         object itself for the restore to be bit-identical.
+        ``logs=False`` leaves the :meth:`journal_logs` empty.
         """
         owner = None
         try:
@@ -638,7 +643,7 @@ class AdaptationManager:
             "seen_alerts": int(self._seen_alerts),
             "cooldown_until": int(self._cooldown_until),
             "last_decision": self._last_decision,
-            "events": [dict(e) for e in self.events],
+            "events": [dict(e) for e in self.events] if logs else [],
             "refits": int(self.refits),
             "promotions": int(self.promotions),
             "rollbacks": int(self.rollbacks),

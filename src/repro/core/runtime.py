@@ -727,7 +727,15 @@ class AutoscalingRuntime:
         return target
 
     # -- checkpoint/restore ---------------------------------------------
-    def state_dict(self) -> dict:
+    def journal_logs(self) -> dict:
+        """:meth:`state_dict`'s append-only logs, as ``key -> (records,
+        encode)``: a checkpoint journal encodes only new records."""
+        return {
+            "decisions": (self.decisions, Decision.to_state),
+            "provenance": (self.provenance, dict),
+        }
+
+    def state_dict(self, *, logs: bool = True) -> dict:
         """The complete loop state as JSON-safe plain containers.
 
         Captures everything :meth:`load_state_dict` needs to resume the
@@ -736,7 +744,8 @@ class AutoscalingRuntime:
         its forecast metadata, so monitor feeds continue seamlessly),
         the audit log, and every degradation counter.  Planner/model
         weights are *not* included — the service layer persists those
-        through :mod:`repro.nn.serialization`.
+        through :mod:`repro.nn.serialization`.  ``logs=False`` leaves
+        the :meth:`journal_logs` empty.
         """
         return {
             "tick": int(self._tick),
@@ -755,8 +764,10 @@ class AutoscalingRuntime:
                 if self._current_plan is not None
                 else None
             ),
-            "decisions": [d.to_state() for d in self.decisions],
-            "provenance": list(self.provenance),
+            "decisions": (
+                [d.to_state() for d in self.decisions] if logs else []
+            ),
+            "provenance": list(self.provenance) if logs else [],
         }
 
     def load_state_dict(self, state: dict) -> "AutoscalingRuntime":

@@ -7,6 +7,7 @@ a round trip unchanged.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,20 @@ __all__ = ["save_state", "load_state", "save_module", "load_module"]
 
 
 def save_state(state: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write a state dict to ``path`` (.npz)."""
+    """Write a state dict to ``path`` (.npz), atomically.
+
+    The archive goes to a temp file in the same directory and is then
+    renamed over ``path``, so a crash mid-write leaves any previous file
+    at ``path`` whole.  ``path`` is used as given: no ``.npz`` suffix is
+    added.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **state)
+    tmp = path.with_name(path.name + ".tmp")
+    # An open file, not a name: np.savez would append ".npz" to a name.
+    with open(tmp, "wb") as file:
+        np.savez(file, **state)
+    os.replace(tmp, path)
 
 
 def load_state(path: str | Path) -> dict[str, np.ndarray]:

@@ -28,7 +28,7 @@ timeline from a telemetry file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -591,7 +591,15 @@ class ModelHealthMonitor:
             self.slos.observe_window(record)
 
     # -- checkpoint/restore --------------------------------------------
-    def state_dict(self) -> dict:
+    def journal_logs(self) -> dict:
+        """:meth:`state_dict`'s append-only logs, as ``key -> (records,
+        encode)``: a checkpoint journal encodes only new records."""
+        return {
+            "windows": (self.windows, asdict),
+            "drift_events": (self.drift_events, asdict),
+        }
+
+    def state_dict(self, *, logs: bool = True) -> dict:
         """The monitor's full streaming state as JSON-safe containers.
 
         Covers finalised windows, the open window's accumulators, drift
@@ -600,15 +608,16 @@ class ModelHealthMonitor:
         to produce bit-identical windows, drift events, and alerts from
         the same subsequent observation stream.  Configuration (window
         size, detector thresholds, rules) is not serialized; a restored
-        monitor keeps what it was constructed with.
+        monitor keeps what it was constructed with.  ``logs=False``
+        leaves the :meth:`journal_logs` empty.
         """
-        from dataclasses import asdict
-
         return {
             "steps_observed": self.steps_observed,
             "window_count": self._window_count,
-            "windows": [asdict(w) for w in self.windows],
-            "drift_events": [asdict(d) for d in self.drift_events],
+            "windows": [asdict(w) for w in self.windows] if logs else [],
+            "drift_events": (
+                [asdict(d) for d in self.drift_events] if logs else []
+            ),
             "detectors": [
                 {"name": d.name, "state": d.state_dict()} for d in self.detectors
             ],

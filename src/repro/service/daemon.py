@@ -39,7 +39,7 @@ from ..core.runtime import AutoscalingRuntime, Decision, StepResult
 from ..obs import PROMETHEUS_CONTENT_TYPE, get_registry, render_prometheus
 from ..obs.sinks import JsonlSink
 from ..obs.trace import TraceCollector
-from .checkpoint import save_checkpoint
+from .checkpoint import CheckpointWriter
 from .http import ControlPlane, HttpError, RawResponse
 from .sources import TelemetrySource
 
@@ -174,6 +174,9 @@ class ServiceRuntime:
         # only decisions committed by *this* session are logged.
         self._logged_decisions = len(runtime.decisions)
         self._decision_sink: JsonlSink | None = None
+        # One journal writer per checkpoint directory, so a save into
+        # one never resets the other's append point.
+        self._writers: dict[Path, CheckpointWriter] = {}
         self._stop = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started_at = time.monotonic()
@@ -323,8 +326,10 @@ class ServiceRuntime:
         target = Path(path) if path else self.checkpoint_dir
         if target is None:
             raise HttpError(409, "no checkpoint directory configured")
-        written = save_checkpoint(
-            target,
+        writer = self._writers.get(target)
+        if writer is None:
+            writer = self._writers[target] = CheckpointWriter(target)
+        written = writer.save(
             runtime=self.runtime,
             config=self.config,
             source_position=self.source.position,

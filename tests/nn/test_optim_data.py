@@ -235,6 +235,29 @@ class TestSplitAndSerialization:
         assert set(loaded) == {"a.b", "c"}
         np.testing.assert_array_equal(loaded["a.b"], state["a.b"])
 
+    def test_state_is_written_under_the_given_name(self, tmp_path):
+        save_state({"a": np.arange(3.0)}, tmp_path / "weights")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weights"]
+        np.testing.assert_array_equal(
+            load_state(tmp_path / "weights")["a"], np.arange(3.0)
+        )
+
+    def test_failed_save_leaves_the_previous_file_whole(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "weights.npz"
+        save_state({"a": np.arange(3.0)}, path)
+        before = path.read_bytes()
+
+        def torn_savez(file, **state):
+            file.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_state({"a": np.arange(5.0)}, path)
+        assert path.read_bytes() == before
+
     def test_module_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         src = Linear(3, 2, rng)
